@@ -93,6 +93,27 @@ let cls_of_bucket = function
 (* one planned kernel of a generation *)
 type planned = { kidx : int; prov : provenance; tc : Ast.testcase; prep : Driver.prepared }
 
+(* one (kernel, config, opt-level) cell; its result keeps the
+   interpreter tally, which the coverage signature needs *)
+let codec ?fuel () =
+  {
+    Par.key = (fun (k, c, opt) -> ("fuzz", k.kidx, c.Config.id, opt_str opt));
+    encode = (fun (k, _, _) (o, st) -> ([ o ], note_of k.prov st));
+    decode =
+      (fun _ -> function
+        | { Journal.outcomes = [ o ]; note; _ } ->
+            Option.map (fun st -> ((o, st), st)) (stats_of_note note)
+        | _ -> None);
+    placeholder = (fun _ -> (Par.outside_shard, Interp.zero_stats));
+    exec =
+      (fun ~flow (k, c, opt) ->
+        let ((_, st) as r) =
+          Driver.run_prepared_stats ?fuel ~flow c ~opt k.prep
+        in
+        (r, st));
+    on_error = (fun _ e -> (Par.crash_of_exn e, Interp.zero_stats));
+  }
+
 let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
     ?(feedback = true) ?(gen_size = default_gen_size) ?(minimize = false) ?sink
     ?(events = fun (_ : Eventlog.event) -> ()) ?resume ?exec_filter () =
@@ -105,11 +126,6 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
     List.concat_map (fun c -> [ (c.Config.id, false); (c.Config.id, true) ]) configs
   in
   let n_keys = List.length keys in
-  let replay =
-    match resume with
-    | None | Some [] -> None
-    | Some cells -> Some (Journal.index_cells cells)
-  in
   let cov = Covmap.create () in
   let spool = Seedpool.create () in
   let m_kernels = Metrics.counter "fuzz.kernels"
@@ -146,6 +162,12 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
     else (P_gen gseed, tc)
   in
   Pool.with_pool ~jobs @@ fun pool ->
+  (* distributed worker: placeholders for non-replayed cells outside the
+     leased shard. Sound only because the coordinator syncs every cell
+     of prior generations before leasing generation [g] (the planner
+     needs real coverage state) and the worker discards this run's own
+     fold products, forwarding only sink-accepted cells. *)
+  let grid = Par.grid pool ?sink ?resume ?exec_filter (codec ?fuel ()) in
   let gen = ref 0 in
   while !kernels_run < budget do
     let g = !gen in
@@ -195,61 +217,8 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
             configs)
         planned
     in
-    let tasks_arr = Array.of_list tasks in
-    let cell_of i ((o : Outcome.t), (st : Interp.stats)) =
-      let k, c, opt = tasks_arr.(i) in
-      {
-        Journal.index = !cell_base + i;
-        seed = k.kidx;
-        mode = "fuzz";
-        config = c.Config.id;
-        opt = opt_str opt;
-        outcomes = [ o ];
-        note = note_of k.prov st;
-      }
-    in
-    let sink = Option.map (fun emit i r -> emit (cell_of i r)) sink in
-    let replayed =
-      Option.map
-        (fun tbl i ->
-          let k, c, opt = tasks_arr.(i) in
-          match
-            Hashtbl.find_opt tbl ("fuzz", k.kidx, c.Config.id, opt_str opt)
-          with
-          | Some { Journal.outcomes = [ o ]; note; _ } -> (
-              match stats_of_note note with
-              | Some st -> Some (o, st)
-              | None -> None)
-          | _ -> None)
-        replay
-    in
-    (* distributed worker: placeholders for non-replayed cells outside the
-       leased shard. Sound only because the coordinator syncs every cell
-       of prior generations before leasing generation [g] (the planner
-       needs real coverage state) and the worker discards this run's own
-       fold products, forwarding only sink-accepted cells. *)
-    let lookup =
-      match exec_filter with
-      | None -> replayed
-      | Some keep ->
-          Some
-            (fun i ->
-              match Option.bind replayed (fun f -> f i) with
-              | Some r -> Some r
-              | None ->
-                  if keep (!cell_base + i) then None
-                  else
-                    Some
-                      ( Outcome.Crash "skipped: outside shard",
-                        Interp.zero_stats ))
-    in
-    let merged =
-      Par.run_resumable pool ?sink ?lookup
-        ~f:(fun (k, c, opt) -> Driver.run_prepared_stats ?fuel c ~opt k.prep)
-        ~on_error:(fun e -> (Par.crash_of_exn e, Interp.zero_stats))
-        tasks
-    in
-    cell_base := !cell_base + Array.length tasks_arr;
+    let merged = grid ~base:!cell_base tasks in
+    cell_base := !cell_base + List.length tasks;
     (* fold the merged stream, kernel by kernel, in task order: coverage,
        admission, metrics and triage all derive from this ordered pass *)
     let gen_new_bits = ref 0
@@ -277,7 +246,6 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
         let novel_cell = ref None in
         List.iter2
           (fun (cfg_id, opt) ((o : Outcome.t), (st : Interp.stats)) ->
-            Par.record_cell st [ o ];
             let b = Majority.bucket_of ~majority o in
             Par.record_bucket b;
             let divergent = b = Majority.B_wrong in

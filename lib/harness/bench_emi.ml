@@ -97,10 +97,10 @@ let run ?jobs ?fuel ?(variants = 12) ?(seed0 = 90_000) ?config_ids ?sink
   in
   (* phase 2: one task per (benchmark, configuration) cell; the cell's
      many variant runs accumulate one interpreter-work tally *)
-  let cell (s, c) =
+  let cell ~flow (s, c) =
     let work = ref Interp.zero_stats in
     let run_counted ~opt prep =
-      let o, st = Driver.run_prepared_stats ?fuel c ~opt prep in
+      let o, st = Driver.run_prepared_stats ?fuel ~flow c ~opt prep in
       work := Interp.add_stats !work st;
       o
     in
@@ -147,67 +147,29 @@ let run ?jobs ?fuel ?(variants = 12) ?(seed0 = 90_000) ?config_ids ?sink
   let tasks =
     List.concat_map (fun s -> List.map (fun c -> (s, c)) configs) setups
   in
-  let tasks_arr = Array.of_list tasks in
-  let cell_record i (config, code) =
-    let s, _ = tasks_arr.(i) in
+  (* exception isolation: a cell whose harness code raises becomes a
+     crash cell for its configuration; fatal exhaustion still surfaces.
+     Table 3 cells have no per-run outcome list: their class lives in the
+     note code. *)
+  let codec =
     {
-      Journal.index = i;
-      seed = 0;
-      mode = s.name;
-      config;
-      opt = "*";
-      outcomes = [];
-      note = code_to_string code;
+      Par.key = (fun (s, c) -> (s.name, 0, c.Config.id, "*"));
+      encode = (fun _ (_, code) -> ([], code_to_string code));
+      decode =
+        (fun (_, c) { Journal.note; _ } ->
+          Option.map
+            (fun code -> ((c.Config.id, code), Interp.zero_stats))
+            (code_of_string note));
+      placeholder = (fun (_, c) -> (c.Config.id, Crash "?"));
+      exec = cell;
+      on_error = (fun (_, c) _ -> (c.Config.id, Crash "?"));
     }
   in
-  let sink = Option.map (fun emit i (r, _stats) -> emit (cell_record i r)) sink in
-  let replayed =
-    match resume with
-    | None | Some [] -> None
-    | Some cells ->
-        let tbl = Journal.index_cells cells in
-        Some
-          (fun i ->
-            let s, c = tasks_arr.(i) in
-            match Hashtbl.find_opt tbl (s.name, 0, c.Config.id, "*") with
-            | Some { Journal.note; _ } ->
-                Option.map
-                  (fun code -> ((c.Config.id, code), Interp.zero_stats))
-                  (code_of_string note)
-            | None -> None)
-  in
-  (* distributed worker: placeholders for non-replayed cells outside the
-     leased shard; only sink-forwarded cells leave the worker *)
-  let lookup =
-    match exec_filter with
-    | None -> replayed
-    | Some keep ->
-        Some
-          (fun i ->
-            match Option.bind replayed (fun f -> f i) with
-            | Some r -> Some r
-            | None ->
-                if keep i then None
-                else
-                  let _, c = tasks_arr.(i) in
-                  Some ((c.Config.id, Crash "?"), Interp.zero_stats))
-  in
-  let cells =
-    (* exception isolation: a cell whose harness code raises becomes a
-       crash cell for its configuration; fatal exhaustion still surfaces *)
-    Par.run_resumable pool ?sink ?lookup
-      ~f:(fun ((_, c) as task) ->
-        try cell task
-        with e when not (Pool.is_fatal e) ->
-          ((c.Config.id, Crash "?"), Interp.zero_stats))
-      ~on_error:raise tasks
-    (* table 3 cells have no per-run outcome list; their class lives in
-       the note code, tallied under cells.note.* *)
-    |> List.map (fun ((id, code), stats) ->
-           Par.record_cell stats [];
-           Metrics.incr (Metrics.counter ("cells.note." ^ code_to_string code));
-           (id, code))
-  in
+  let cells = Par.grid pool ?sink ?resume ?exec_filter codec ~base:0 tasks in
+  List.iter
+    (fun (_, code) ->
+      Metrics.incr (Metrics.counter ("cells.note." ^ code_to_string code)))
+    cells;
   (* regroup the flat cell list by benchmark, in task order *)
   let results =
     List.map2

@@ -40,6 +40,23 @@ let journal_header ?fuel ?(per_mode = 60) ?(seed0 = 10_000) ?config_ids ?modes
       ]
     ~scale:[ ("per_mode", string_of_int per_mode) ]
 
+(* one (kernel, config, opt-level) cell of a mode's grid *)
+let codec ?fuel () =
+  {
+    Par.key =
+      (fun (mode, seed, _, c, opt) -> (mode, seed, c.Config.id, opt_str opt));
+    encode = (fun _ o -> ([ o ], ""));
+    decode =
+      (fun _ -> function
+        | { Journal.outcomes = [ o ]; _ } -> Some (o, Interp.zero_stats)
+        | _ -> None);
+    placeholder = (fun _ -> Par.outside_shard);
+    exec =
+      (fun ~flow (_, _, prep, c, opt) ->
+        Driver.run_prepared_stats ?fuel ~flow c ~opt prep);
+    on_error = (fun _ e -> Par.crash_of_exn e);
+  }
+
 let run ?jobs ?fuel ?(per_mode = 60) ?(seed0 = 10_000) ?config_ids ?modes ?sink
     ?resume ?exec_filter () =
   let jobs = match jobs with Some j -> j | None -> Pool.recommended_jobs () in
@@ -48,15 +65,11 @@ let run ?jobs ?fuel ?(per_mode = 60) ?(seed0 = 10_000) ?config_ids ?modes ?sink
   in
   let modes = match modes with Some m -> m | None -> Gen_config.all_modes in
   let configs = List.map Config.find config_ids in
-  let replay =
-    match resume with
-    | None | Some [] -> None
-    | Some cells -> Some (Journal.index_cells cells)
-  in
+  Pool.with_pool ~jobs @@ fun pool ->
+  let grid = Par.grid pool ?sink ?resume ?exec_filter (codec ?fuel ()) in
   (* cells are journalled with their position in the whole run's task
      order, counted across modes *)
   let base = ref 0 in
-  Pool.with_pool ~jobs @@ fun pool ->
   List.map
     (fun mode ->
       let mode_name = Gen_config.mode_name mode in
@@ -91,70 +104,16 @@ let run ?jobs ?fuel ?(per_mode = 60) ?(seed0 = 10_000) ?config_ids ?modes ?sink
         List.concat_map
           (fun (seed, prep) ->
             List.concat_map
-              (fun c -> [ (seed, prep, c, false); (seed, prep, c, true) ])
+              (fun c ->
+                [
+                  (mode_name, seed, prep, c, false);
+                  (mode_name, seed, prep, c, true);
+                ])
               configs)
           kernels
-        (* each task carries its global cell index — the journal index and
-           the causal flow id stitching exec spans to coordinator leases *)
-        |> List.mapi (fun i (seed, prep, c, opt) -> (seed, prep, c, opt, !base + i))
       in
-      let tasks_arr = Array.of_list tasks in
-      let cell_of i o =
-        let seed, _, c, opt, _ = tasks_arr.(i) in
-        {
-          Journal.index = !base + i;
-          seed;
-          mode = mode_name;
-          config = c.Config.id;
-          opt = opt_str opt;
-          outcomes = [ o ];
-          note = "";
-        }
-      in
-      let sink = Option.map (fun emit i (o, _stats) -> emit (cell_of i o)) sink in
-      let replayed =
-        Option.map
-          (fun tbl i ->
-            let seed, _, c, opt, _ = tasks_arr.(i) in
-            match
-              Hashtbl.find_opt tbl (mode_name, seed, c.Config.id, opt_str opt)
-            with
-            | Some { Journal.outcomes = [ o ]; _ } ->
-                Some (o, Interp.zero_stats)
-            | _ -> None)
-          replay
-      in
-      (* a distributed worker executes only its leased shard: every other
-         non-replayed cell degrades to an instant placeholder, never sent
-         anywhere — only the shard's real cells leave this process *)
-      let lookup =
-        match exec_filter with
-        | None -> replayed
-        | Some keep ->
-            Some
-              (fun i ->
-                match Option.bind replayed (fun f -> f i) with
-                | Some r -> Some r
-                | None ->
-                    if keep (!base + i) then None
-                    else
-                      Some
-                        ( Outcome.Crash "skipped: outside shard",
-                          Interp.zero_stats ))
-      in
-      let outcomes =
-        Par.run_resumable pool ?sink ?lookup
-          ~f:(fun (_, prep, c, opt, flow) ->
-            Driver.run_prepared_stats ?fuel ~flow c ~opt prep)
-          ~on_error:(fun e -> (Par.crash_of_exn e, Interp.zero_stats))
-          tasks
-        (* metrics fold over the merged list, in task order: replayed
-           cells count their outcome but no interpreter work *)
-        |> List.map (fun (o, stats) ->
-               Par.record_cell stats [ o ];
-               o)
-      in
-      base := !base + Array.length tasks_arr;
+      let outcomes = grid ~base:!base tasks in
+      base := !base + List.length tasks;
       (* deterministic merge: regroup the flat outcome list by kernel (the
          chunk layout mirrors [keys]) and fold buckets in task order *)
       let cells = Hashtbl.create 64 in

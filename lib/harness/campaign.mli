@@ -58,7 +58,7 @@ val run :
     interpreter's step budget).
 
     [sink] is invoked once per completed cell, in deterministic task
-    order, streamed as results complete (see {!Par.run_resumable}) — the
+    order, streamed as results complete (see {!Par.grid}) — the
     journalling hook. [resume] replays previously journalled cells:
     any task whose [(mode, seed, config, opt)] key is found is not
     re-executed, its recorded outcome is used (and re-emitted to [sink]

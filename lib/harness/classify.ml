@@ -71,66 +71,31 @@ let run ?jobs ?fuel ?(per_mode = 10) ?(seed0 = 1) ?sink ?resume ?exec_filter ()
         List.map (fun c -> (seed, mode, prep, c)) configs)
       kernels
   in
-  let tasks_arr = Array.of_list tasks in
-  let cell_of i (off, on) =
-    let seed, mode, _, c = tasks_arr.(i) in
+  let codec =
     {
-      Journal.index = i;
-      seed;
-      mode = Gen_config.mode_name mode;
-      config = c.Config.id;
-      opt = "*";
-      outcomes = [ off; on ];
-      note = "";
+      Par.key =
+        (fun (seed, mode, _, c) ->
+          (Gen_config.mode_name mode, seed, c.Config.id, "*"));
+      encode = (fun _ (off, on) -> ([ off; on ], ""));
+      decode =
+        (fun _ -> function
+          | { Journal.outcomes = [ off; on ]; _ } ->
+              Some ((off, on), Interp.zero_stats)
+          | _ -> None);
+      placeholder = (fun _ -> (Par.outside_shard, Par.outside_shard));
+      exec =
+        (fun ~flow (_, _, prep, c) ->
+          let run opt = Driver.run_prepared_stats ?fuel ~flow c ~opt prep in
+          let off, st_off = run false in
+          let on, st_on = run true in
+          ((off, on), Interp.add_stats st_off st_on));
+      on_error =
+        (fun _ e ->
+          let o = Par.crash_of_exn e in
+          (o, o));
     }
   in
-  let sink = Option.map (fun emit i (pair, _stats) -> emit (cell_of i pair)) sink in
-  let replayed =
-    match resume with
-    | None | Some [] -> None
-    | Some cells ->
-        let tbl = Journal.index_cells cells in
-        Some
-          (fun i ->
-            let seed, mode, _, c = tasks_arr.(i) in
-            match
-              Hashtbl.find_opt tbl
-                (Gen_config.mode_name mode, seed, c.Config.id, "*")
-            with
-            | Some { Journal.outcomes = [ off; on ]; _ } ->
-                Some ((off, on), Interp.zero_stats)
-            | _ -> None)
-  in
-  (* distributed worker: placeholders for non-replayed cells outside the
-     leased shard; only sink-forwarded cells leave the worker *)
-  let lookup =
-    match exec_filter with
-    | None -> replayed
-    | Some keep ->
-        Some
-          (fun i ->
-            match Option.bind replayed (fun f -> f i) with
-            | Some r -> Some r
-            | None ->
-                if keep i then None
-                else
-                  let skip = Outcome.Crash "skipped: outside shard" in
-                  Some ((skip, skip), Interp.zero_stats))
-  in
-  let pairs =
-    Par.run_resumable pool ?sink ?lookup
-      ~f:(fun (_, _, prep, c) ->
-        let off, st_off = Driver.run_prepared_stats ?fuel c ~opt:false prep in
-        let on, st_on = Driver.run_prepared_stats ?fuel c ~opt:true prep in
-        ((off, on), Interp.add_stats st_off st_on))
-      ~on_error:(fun e ->
-        let o = Par.crash_of_exn e in
-        ((o, o), Interp.zero_stats))
-      tasks
-    |> List.map (fun ((off, on), stats) ->
-           Par.record_cell stats [ off; on ];
-           (off, on))
-  in
+  let pairs = Par.grid pool ?sink ?resume ?exec_filter codec ~base:0 tasks in
   (* deterministic merge: per kernel, majority over all its results, then
      per-config bucket accumulation in task order *)
   List.iter

@@ -122,69 +122,31 @@ let run ?jobs ?fuel ?(bases = 15) ?(variants = 10) ?(seed0 = 50_000) ?config_ids
           configs)
       prepared_bases
   in
-  let tasks_arr = Array.of_list tasks in
-  let cell_of i outcomes =
-    let seed, _, c, opt = tasks_arr.(i) in
+  (* a cell's value is its variant outcome list; exceptions inside a cell
+     surface as a Crash outcome for that cell's variants *)
+  let codec =
     {
-      Journal.index = i;
-      seed;
-      mode = mode_name;
-      config = c.Config.id;
-      opt = opt_str opt;
-      outcomes;
-      note = "";
+      Par.key =
+        (fun (seed, _, c, opt) -> (mode_name, seed, c.Config.id, opt_str opt));
+      encode = (fun _ outcomes -> (outcomes, ""));
+      decode =
+        (fun _ -> function
+          | { Journal.outcomes = []; _ } -> None
+          | { Journal.outcomes; _ } -> Some (outcomes, Interp.zero_stats));
+      placeholder = (fun _ -> [ Par.outside_shard ]);
+      exec =
+        (fun ~flow (_, vs, c, opt) ->
+          List.fold_left_map
+            (fun acc prep ->
+              let o, st = Driver.run_prepared_stats ?fuel ~flow c ~opt prep in
+              (Interp.add_stats acc st, o))
+            Interp.zero_stats vs
+          |> fun (stats, outcomes) -> (outcomes, stats));
+      on_error = (fun _ e -> [ Par.crash_of_exn e ]);
     }
   in
-  let sink =
-    Option.map (fun emit i (outcomes, _stats) -> emit (cell_of i outcomes)) sink
-  in
-  let replayed =
-    match resume with
-    | None | Some [] -> None
-    | Some cells ->
-        let tbl = Journal.index_cells cells in
-        Some
-          (fun i ->
-            let seed, _, c, opt = tasks_arr.(i) in
-            match
-              Hashtbl.find_opt tbl (mode_name, seed, c.Config.id, opt_str opt)
-            with
-            | Some { Journal.outcomes = [] ; _ } | None -> None
-            | Some { Journal.outcomes; _ } -> Some (outcomes, Interp.zero_stats))
-  in
-  (* distributed worker: placeholders for non-replayed cells outside the
-     leased shard; only sink-forwarded cells leave the worker *)
-  let lookup =
-    match exec_filter with
-    | None -> replayed
-    | Some keep ->
-        Some
-          (fun i ->
-            match Option.bind replayed (fun f -> f i) with
-            | Some r -> Some r
-            | None ->
-                if keep i then None
-                else
-                  Some
-                    ( [ Outcome.Crash "skipped: outside shard" ],
-                      Interp.zero_stats ))
-  in
   let cell_outcomes =
-    (* a cell's value is its variant outcome list; exceptions inside a cell
-       surface as a Crash outcome for that cell's variants *)
-    Par.run_resumable pool ?sink ?lookup
-      ~f:(fun (_, vs, c, opt) ->
-        List.fold_left_map
-          (fun acc prep ->
-            let o, st = Driver.run_prepared_stats ?fuel c ~opt prep in
-            (Interp.add_stats acc st, o))
-          Interp.zero_stats vs
-        |> fun (stats, outcomes) -> (outcomes, stats))
-      ~on_error:(fun e -> ([ Par.crash_of_exn e ], Interp.zero_stats))
-      tasks
-    |> List.map (fun (outcomes, stats) ->
-           Par.record_cell stats outcomes;
-           outcomes)
+    Par.grid pool ?sink ?resume ?exec_filter codec ~base:0 tasks
   in
   (* deterministic merge in task order *)
   let rows = Hashtbl.create 64 in

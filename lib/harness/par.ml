@@ -65,18 +65,18 @@ let record_bucket b = Metrics.incr (bucket_counter b)
 let crash_of_exn e =
   Outcome.Crash ("harness: uncaught exception: " ^ Printexc.to_string e)
 
-let run_resumable pool ?sink ?(lookup = fun _ -> None) ~f ~on_error cells =
-  let tasks = Array.of_list cells in
-  let n = Array.length tasks in
+(* The cell engine: tasks [0 .. n-1], each either replayed by [lookup]
+   (never scheduled) or computed by [f] on the pool. [sink] sees the
+   merged sequence (replayed + fresh) in global task order: a fresh
+   result at index g is only emitted once every cell before g is
+   available, and replayed cells ride along in the same prefix flush. *)
+let run_resumable pool ?sink ~lookup ~f n =
   let results = Array.init n lookup in
   let missing =
-    List.filter (fun i -> results.(i) = None) (List.init n Fun.id)
+    List.init n Fun.id
+    |> List.filter (fun i -> results.(i) = None)
+    |> Array.of_list
   in
-  let missing_arr = Array.of_list missing in
-  (* the sink sees the merged sequence (replayed + fresh) in global task
-     order: a fresh result at global index g is only emitted once every
-     cell before g is available, and replayed cells ride along in the
-     same prefix flush *)
   let next = ref 0 in
   let flush () =
     match sink with
@@ -93,21 +93,78 @@ let run_resumable pool ?sink ?(lookup = fun _ -> None) ~f ~on_error cells =
   let on_result =
     Option.map
       (fun _ mi r ->
-        results.(missing_arr.(mi)) <- Some r;
+        results.(missing.(mi)) <- Some r;
         flush ())
       sink
   in
+  (* [f] isolates non-fatal exceptions itself; only fatal exhaustion
+     reaches the pool, which re-raises it *)
   let fresh =
-    Pool.map_isolated ?on_result pool ~f ~on_error
-      (List.map (fun i -> tasks.(i)) missing)
+    Pool.map_isolated ?on_result pool ~f ~on_error:raise (Array.to_list missing)
   in
-  List.iter2 (fun i r -> results.(i) <- Some r) missing fresh;
+  List.iteri (fun mi r -> results.(missing.(mi)) <- Some r) fresh;
   flush ();
   Array.to_list
     (Array.map (function Some r -> r | None -> assert false) results)
 
-let run_cells pool ?sink ~f cells =
-  run_resumable pool ?sink ~f ~on_error:crash_of_exn cells
+type ('t, 'r) codec = {
+  key : 't -> string * int * int * string;
+  encode : 't -> 'r -> Outcome.t list * string;
+  decode : 't -> Journal.cell -> ('r * Interp.stats) option;
+  placeholder : 't -> 'r;
+  exec : flow:int -> 't -> 'r * Interp.stats;
+  on_error : 't -> exn -> 'r;
+}
+
+let outside_shard = Outcome.Crash "skipped: outside shard"
+
+let grid pool ?sink ?resume ?exec_filter codec =
+  let journal =
+    match resume with
+    | None | Some [] -> None
+    | Some cells -> Some (Journal.index_cells cells)
+  in
+  fun ~base tasks ->
+    let tasks = Array.of_list tasks in
+    let replayed t =
+      Option.bind journal (fun tbl ->
+          Option.bind (Hashtbl.find_opt tbl (codec.key t)) (codec.decode t))
+    in
+    (* a distributed worker executes only its leased shard: every other
+       non-replayed cell degrades to an instant placeholder, never sent
+       anywhere — only the shard's real cells leave this process *)
+    let lookup i =
+      match (replayed tasks.(i), exec_filter) with
+      | (Some _ as r), _ -> r
+      | None, Some keep when not (keep (base + i)) ->
+          Some (codec.placeholder tasks.(i), Interp.zero_stats)
+      | None, _ -> None
+    in
+    let sink =
+      Option.map
+        (fun emit i (r, _) ->
+          let t = tasks.(i) in
+          let mode, seed, config, opt = codec.key t in
+          let outcomes, note = codec.encode t r in
+          emit
+            { Journal.index = base + i; seed; mode; config; opt; outcomes; note })
+        sink
+    in
+    (* the global cell index is both the journal index and the causal
+       flow id stitching exec spans to coordinator leases *)
+    let f i =
+      let t = tasks.(i) in
+      try codec.exec ~flow:(base + i) t
+      with e when not (Pool.is_fatal e) ->
+        (codec.on_error t e, Interp.zero_stats)
+    in
+    (* metrics fold over the merged list, in task order: replayed cells
+       count their outcomes with their journalled (usually zero) work *)
+    List.mapi
+      (fun i (r, stats) ->
+        record_cell stats (fst (codec.encode tasks.(i) r));
+        r)
+      (run_resumable pool ?sink ~lookup ~f (Array.length tasks))
 
 let chunk size xs =
   let rec take k acc = function

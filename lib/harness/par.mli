@@ -25,15 +25,6 @@ val collect :
 val count : 'r list -> tag:'r -> int
 (** Occurrences of [tag] in a rejection list. *)
 
-val record_cell : Interp.stats -> Outcome.t list -> unit
-(** Fold one completed cell into the global {!Metrics} registry: cell
-    count, interpreter work totals and histogram, and one
-    ["outcomes.<tag>"] tick per outcome. Call it from the merged result
-    list (replayed cells with {!Interp.zero_stats}), never from
-    generation batches: {!collect} evaluates a pool-size-dependent set
-    of seeds, so anything counted there would break the [-j]-invariance
-    the metrics tests assert. *)
-
 val record_bucket : Majority.bucket -> unit
 (** One ["cells.class.<name>"] tick — the campaign tables' post-vote
     classification tallies. *)
@@ -42,40 +33,63 @@ val crash_of_exn : exn -> Outcome.t
 (** The campaigns' exception-isolation policy: an uncaught harness
     exception becomes a crash cell. *)
 
-val run_resumable :
+(** How one driver's tasks map onto journalled cells — the only
+    per-driver part of {!grid}. *)
+type ('t, 'r) codec = {
+  key : 't -> string * int * int * string;
+      (** the cell's journal key [(mode, seed, config, opt)] *)
+  encode : 't -> 'r -> Outcome.t list * string;
+      (** a result as its journalled [(outcomes, note)]; the outcomes are
+          also what the cell contributes to the ["outcomes.<tag>"]
+          metrics *)
+  decode : 't -> Journal.cell -> ('r * Interp.stats) option;
+      (** replay the journalled cell found under [key]; [None] re-executes *)
+  placeholder : 't -> 'r;
+      (** the instant result of a cell outside the worker's shard *)
+  exec : flow:int -> 't -> 'r * Interp.stats;
+      (** run the cell; [flow] is its global index, for exec spans *)
+  on_error : 't -> exn -> 'r;
+      (** exception isolation: the cell's result when [exec] raises a
+          non-fatal exception (fatal exhaustion is re-raised) *)
+}
+
+val outside_shard : Outcome.t
+(** The placeholder outcome of a cell a worker does not execute. *)
+
+val grid :
   Pool.t ->
-  ?sink:(int -> 'b -> unit) ->
-  ?lookup:(int -> 'b option) ->
-  f:('a -> 'b) ->
-  on_error:(exn -> 'b) ->
-  'a list ->
-  'b list
-(** The campaigns' cell engine with persistence hooks, preserving the
-    order-preserving [-j] contract:
+  ?sink:(Journal.cell -> unit) ->
+  ?resume:Journal.cell list ->
+  ?exec_filter:(int -> bool) ->
+  ('t, 'r) codec ->
+  base:int ->
+  't list ->
+  'r list
+(** The campaigns' cell grid: [grid pool ?sink ?resume ?exec_filter codec]
+    indexes [resume] once and returns a runner; [runner ~base tasks] runs
+    one batch of cells whose global indices are [base], [base + 1], ...
+    (a driver with several batches — modes, fuzzing generations — calls
+    it with the running cell count). Results are in task order and
+    byte-identical across [-j]:
 
-    - [lookup i] replays an already-journalled result for task [i]
-      (resume): replayed cells never hit the pool, only the remainder is
-      scheduled;
-    - [sink] receives every result — replayed and fresh alike — in
-      global task order, streamed as the ready prefix grows (a fresh
-      cell is delivered as soon as it and all predecessors are
-      available, not at batch end), so a journal written from it is
-      crash-safe and byte-identical to an uninterrupted run's.
-
-    Exception isolation as in {!Pool.map_isolated}: non-fatal exceptions
-    become [on_error e]; fatal exhaustion stops the sink stream at its
-    index and re-raises. Results are in input order. *)
-
-val run_cells :
-  Pool.t ->
-  ?sink:(int -> Outcome.t -> unit) ->
-  f:('a -> Outcome.t) ->
-  'a list ->
-  Outcome.t list
-(** [run_resumable] with the {!crash_of_exn} isolation policy and no
-    replay: a cell whose harness code raises becomes [Outcome.Crash]
-    instead of killing the campaign, while fatal exhaustion
-    ([Out_of_memory], [Stack_overflow]) is re-raised. *)
+    - a task whose key is found in [resume] and that [decode] accepts is
+      replayed, never scheduled;
+    - with [exec_filter], a non-replayed task whose global index is
+      rejected yields its [placeholder] instantly (a fabric worker's
+      out-of-shard cell; the caller must discard the fold and forward
+      only the cells its [sink] accepted);
+    - every other task runs [exec ~flow:index] on the pool;
+    - [sink] receives each cell — replayed, placeholder and fresh alike —
+      as a {!Journal.cell} in global task order, streamed as the ready
+      prefix grows, so a journal written from it is crash-safe and
+      byte-identical to an uninterrupted run's; cells are only built
+      when a sink is armed;
+    - each merged cell is folded into the global {!Metrics} registry
+      once, in task order: cell count, interpreter work totals and
+      histogram (replayed cells with their decoded stats), and one
+      ["outcomes.<tag>"] tick per encoded outcome. Generation batches
+      ({!collect}) are never counted — their evaluated seed set depends
+      on the pool size — so the totals are [-j]-invariant. *)
 
 val chunk : int -> 'a list -> 'a list list
 (** Split into consecutive chunks of the given size (the last may be

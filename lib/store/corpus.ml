@@ -46,9 +46,12 @@ let write_file_atomic path contents =
   close_out oc;
   Sys.rename tmp path
 
-let index ~dir =
+(* the index's entries plus its good lines, and whether the file needs
+   repair before appending: a dropped torn final line, or a last line
+   missing its newline *)
+let scan_index dir =
   let path = index_path dir in
-  if not (Sys.file_exists path) then Ok []
+  if not (Sys.file_exists path) then Ok ([], [], false)
   else
     match read_file path with
     | exception Sys_error m -> Error m
@@ -56,13 +59,16 @@ let index ~dir =
         let lines =
           List.filter (fun l -> l <> "") (String.split_on_char '\n' contents)
         in
+        let unterminated =
+          contents <> "" && contents.[String.length contents - 1] <> '\n'
+        in
         let n = List.length lines in
-        let rec go i acc = function
-          | [] -> Ok (List.rev acc)
+        let rec go i acc good = function
+          | [] -> Ok (List.rev acc, List.rev good, unterminated)
           | line :: rest -> (
               let bad msg =
                 (* like the journal: tolerate only a torn final line *)
-                if i = n - 1 then Ok (List.rev acc)
+                if i = n - 1 then Ok (List.rev acc, List.rev good, true)
                 else Error (Printf.sprintf "corpus index entry %d: %s" (i + 1) msg)
               in
               match Jsonl.decode_line line with
@@ -70,21 +76,28 @@ let index ~dir =
               | Ok fields -> (
                   match entry_of_fields fields with
                   | None -> bad "malformed entry"
-                  | Some e -> go (i + 1) (e :: acc) rest))
+                  | Some e -> go (i + 1) (e :: acc) (line :: good) rest))
         in
-        go 0 [] lines
+        go 0 [] [] lines
+
+let index ~dir = Result.map (fun (entries, _, _) -> entries) (scan_index dir)
 
 let add_all ~dir pairs =
   match
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    index ~dir
+    scan_index dir
   with
   | exception Sys_error m -> Error m
   | Error m -> Error m
-  | Ok existing -> (
+  | Ok (existing, good, torn) -> (
       let seen = Hashtbl.create 64 in
       List.iter (fun e -> Hashtbl.replace seen (dedup_key e) ()) existing;
       match
+        (* appending after a torn final line would splice the first new
+           record onto it; rewrite the good prefix instead *)
+        if torn then
+          write_file_atomic (index_path dir)
+            (String.concat "" (List.map (fun l -> l ^ "\n") good));
         let oc =
           open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644
             (index_path dir)

@@ -34,7 +34,9 @@ val kernel_path : dir:string -> hash:string -> string
 val add_all : dir:string -> (entry * string) list -> (int, string) result
 (** Store each (entry, kernel text) pair: the kernel file is written if
     absent (atomically, via a temp file), the index gains a line per new
-    (hash, cls, config, opt). Returns how many index entries were new. *)
+    (hash, cls, config, opt). Returns how many index entries were new.
+    An index left with a torn final line is first rewritten to its good
+    prefix (atomically), so new lines never splice onto the torn bytes. *)
 
 val index : dir:string -> (entry list, string) result
 (** All index entries, insertion order; a torn final line is dropped.

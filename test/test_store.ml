@@ -284,6 +284,40 @@ let test_corpus_fold () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "load_all ignored a missing kernel file"
 
+(* a torn final index line (a writer killed mid-append) must not be
+   spliced onto: the next add_all rewrites the good prefix first *)
+let test_corpus_torn_index () =
+  let dir = Filename.temp_file "store_torn" "" in
+  Sys.remove dir;
+  let mk i =
+    let text = Printf.sprintf "__kernel void entry() { /* %d */ }\n" i in
+    ( { Corpus.hash = Corpus.hash_text text; seed = i; mode = "ALL";
+        cls = "crash"; config = 1; opt = "-" },
+      text )
+  in
+  (match Corpus.add_all ~dir [ mk 1; mk 2 ] with
+  | Ok n -> Alcotest.(check int) "two entries" 2 n
+  | Error e -> Alcotest.fail e);
+  let index_path = Filename.concat dir "index.jsonl" in
+  let bytes = read_file index_path in
+  let oc = open_out_bin index_path in
+  output_string oc (String.sub bytes 0 (String.length bytes - 20));
+  close_out oc;
+  (match Corpus.index ~dir with
+  | Ok es -> Alcotest.(check int) "torn line dropped" 1 (List.length es)
+  | Error e -> Alcotest.fail e);
+  (match Corpus.add_all ~dir [ mk 3; mk 4 ] with
+  | Ok n -> Alcotest.(check int) "two fresh entries" 2 n
+  | Error e -> Alcotest.fail e);
+  (match Corpus.index ~dir with
+  | Ok es ->
+      Alcotest.(check (list int)) "index after recovery" [ 1; 3; 4 ]
+        (List.map (fun e -> e.Corpus.seed) es)
+  | Error e -> Alcotest.fail e);
+  (* the dropped entry's kernel file is left without an index line *)
+  Alcotest.(check int) "only the orphaned kernel is reported" 1
+    (List.length (Corpus.fsck ~dir))
+
 (* --- resume determinism: the subsystem's headline property --- *)
 
 let campaign_run ~jobs ?sink ?resume () =
@@ -424,6 +458,8 @@ let () =
           Alcotest.test_case "fold/load_all one-pass" `Quick test_corpus_fold;
           Alcotest.test_case "fsck finds every damage class" `Quick
             test_corpus_fsck;
+          Alcotest.test_case "torn index tail not spliced" `Quick
+            test_corpus_torn_index;
         ] );
       ( "resume",
         [ Alcotest.test_case "byte-identical from any prefix" `Slow test_resume_determinism ] );
